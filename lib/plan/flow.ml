@@ -171,7 +171,9 @@ let live_pass ?(report = false) (prog : Prog.t) (live : state)
           List.iter (fun d -> state_set live d true) o.Prog.o_hreads
       | Prog.Loop { e_loop; e_iterate } ->
           let it = match e_loop.D.ld_kind with D.Particle_move_d -> `All | _ -> e_iterate in
-          (* does any halo element's output from this loop matter? *)
+          (* does any halo element's output from this loop matter? An
+             indirect write from a halo element can land in an owned
+             slot, so it is always observable *)
           let out_live =
             List.exists
               (fun (a : D.arg_d) ->
@@ -179,7 +181,11 @@ let live_pass ?(report = false) (prog : Prog.t) (live : state)
                 | Some d -> S.writes_acc a.D.ad_acc && state_get live d
                 | None -> false)
               e_loop.D.ld_args
-            || (it = `All && has_global e_loop)
+            || it = `All
+               && (has_global e_loop
+                  || List.exists
+                       (fun a -> S.writes_acc a.D.ad_acc && not (direct a))
+                       (dat_args e_loop))
           in
           (* kills: a direct full-range pure overwrite makes prior halo
              values unobservable *)

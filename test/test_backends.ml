@@ -342,7 +342,7 @@ let suite =
     Alcotest.test_case "threads: fempic matches seq" `Slow test_fempic_threads_match_seq;
     Alcotest.test_case "threads: cabana matches seq" `Slow test_cabana_threads_match_seq;
     Alcotest.test_case "segmented: basic" `Quick test_segmented_basic;
-    QCheck_alcotest.to_alcotest prop_segmented_matches_direct;
+    Qc.to_alcotest prop_segmented_matches_direct;
     Alcotest.test_case "gpu: conflict counting" `Quick test_gpu_conflict_counting;
     Alcotest.test_case "gpu: SR deposit correct" `Quick test_gpu_sr_matches_at;
     Alcotest.test_case "gpu: AT >> UA on AMD (model)" `Quick test_gpu_modeled_atomics_ranking;

@@ -404,7 +404,7 @@ let suite =
       test_rebalance_reduces_skew;
     Alcotest.test_case "rebalance: empty world and single rank are no-ops" `Quick
       test_rebalance_noop_cases;
-    QCheck_alcotest.to_alcotest prop_rebalance_invariants;
+    Qc.to_alcotest prop_rebalance_invariants;
     Alcotest.test_case "policy: threshold and min-interval guards" `Quick
       test_policy_threshold_and_interval;
     Alcotest.test_case "policy: hysteresis re-arm band" `Quick test_policy_hysteresis_rearm;
@@ -422,7 +422,7 @@ let suite =
       test_fempic_rebalance_resets_scheduler;
     Alcotest.test_case "cabana: live rebalance is a pure ownership change" `Quick
       test_cabana_rebalance_pure_ownership_change;
-    QCheck_alcotest.to_alcotest prop_fempic_rebalance_conserves;
+    Qc.to_alcotest prop_fempic_rebalance_conserves;
     Alcotest.test_case "balancer: decision glue fires once and raises A009" `Quick
       test_dist_balance_fires_and_alerts;
     Alcotest.test_case "balance metrics: epoch accounting" `Quick test_balance_metrics;

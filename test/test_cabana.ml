@@ -340,8 +340,8 @@ let suite =
     Alcotest.test_case "stream: stays inside" `Quick test_stream_stays_inside;
     Alcotest.test_case "stream: +x crossing" `Quick test_stream_crosses_plus_x;
     Alcotest.test_case "stream: first crossing wins" `Quick test_stream_crosses_minus_z_first;
-    QCheck_alcotest.to_alcotest prop_stream_conserves_displacement;
-    QCheck_alcotest.to_alcotest prop_boris_preserves_speed_in_pure_b;
+    Qc.to_alcotest prop_stream_conserves_displacement;
+    Qc.to_alcotest prop_boris_preserves_speed_in_pure_b;
     Alcotest.test_case "boris: pure E" `Quick test_boris_pure_e;
     Alcotest.test_case "interpolator: uniform field" `Quick test_interpolator_uniform_field;
     Alcotest.test_case "curl of uniform field" `Quick test_curls_of_uniform_field_vanish;

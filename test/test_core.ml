@@ -381,6 +381,6 @@ let suite =
     Alcotest.test_case "move: divergence guard" `Quick test_move_diverged;
     Alcotest.test_case "profile ledger" `Quick test_profile_ledger;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
-    QCheck_alcotest.to_alcotest prop_rng_uniform;
-    QCheck_alcotest.to_alcotest prop_remove_flagged_conserves;
+    Qc.to_alcotest prop_rng_uniform;
+    Qc.to_alcotest prop_remove_flagged_conserves;
   ]

@@ -320,5 +320,5 @@ let suite =
     Alcotest.test_case "monitor: Heal policy, A008, rank states, shrink" `Quick
       test_monitor_heal_plumbing;
     Alcotest.test_case "heal metrics: recoveries and latency" `Quick test_heal_metrics;
-    QCheck_alcotest.to_alcotest prop_heal_reassign_total;
+    Qc.to_alcotest prop_heal_reassign_total;
   ]

@@ -153,5 +153,5 @@ let suite =
     Alcotest.test_case "dense inverse" `Quick test_dense_inv;
     Alcotest.test_case "dense singular raises" `Quick test_dense_singular;
     Alcotest.test_case "cramer solve3" `Quick test_solve3;
-    QCheck_alcotest.to_alcotest prop_cg_solves_spd;
+    Qc.to_alcotest prop_cg_solves_spd;
   ]

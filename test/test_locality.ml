@@ -495,7 +495,7 @@ let suite =
     Alcotest.test_case "window: removing everything clears it" `Quick
       test_remove_all_clears_window;
     Alcotest.test_case "window: sort resets it" `Quick test_sort_resets_window;
-    QCheck_alcotest.to_alcotest prop_sort_stable_permutation;
+    Qc.to_alcotest prop_sort_stable_permutation;
     Alcotest.test_case "realloc: Seq raises mid-loop" `Quick test_inject_inside_kernel_raises;
     Alcotest.test_case "realloc: sanitizer raises E080" `Quick test_checked_reports_e080;
     Alcotest.test_case "pool: buffers reused across launches" `Quick test_scatter_pool_reuse;

@@ -243,7 +243,7 @@ let suite =
     Alcotest.test_case "duct: inlet faces" `Quick test_duct_inlet_faces;
     Alcotest.test_case "duct: node classification" `Quick test_duct_node_kinds;
     Alcotest.test_case "duct: brute-force locate" `Quick test_locate_brute;
-    QCheck_alcotest.to_alcotest prop_barycentric_consistent_with_volume;
+    Qc.to_alcotest prop_barycentric_consistent_with_volume;
     Alcotest.test_case "hex: periodic connectivity" `Quick test_hex_mesh_periodic;
     Alcotest.test_case "hex: face neighbours" `Quick test_hex_face_neighbours;
     Alcotest.test_case "overlay: locate" `Quick test_overlay_locates;

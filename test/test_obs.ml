@@ -343,7 +343,7 @@ let suite =
     ("metrics jsonl/csv roundtrip", `Quick, isolated test_metrics_roundtrip);
     ("metrics tick semantics", `Quick, isolated test_metrics_tick_semantics);
     ("profile merge", `Quick, isolated test_profile_merge);
-    QCheck_alcotest.to_alcotest prop_bucket_monotone;
-    QCheck_alcotest.to_alcotest prop_bucket_bounds;
-    QCheck_alcotest.to_alcotest prop_hist_total_preserving;
+    Qc.to_alcotest prop_bucket_monotone;
+    Qc.to_alcotest prop_bucket_bounds;
+    Qc.to_alcotest prop_hist_total_preserving;
   ]

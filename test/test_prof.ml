@@ -372,7 +372,7 @@ let suite =
     Alcotest.test_case "A/B flags a 2x slowdown" `Quick (isolated test_ab_flags_slowdown);
     Alcotest.test_case "traced distributed run round-trips to reports" `Quick
       (isolated test_distributed_roundtrip);
-    QCheck_alcotest.to_alcotest prop_phase_accounting;
-    QCheck_alcotest.to_alcotest prop_kstats_total;
-    QCheck_alcotest.to_alcotest prop_ab_self_diff_passes;
+    Qc.to_alcotest prop_phase_accounting;
+    Qc.to_alcotest prop_kstats_total;
+    Qc.to_alcotest prop_ab_self_diff_passes;
   ]

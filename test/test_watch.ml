@@ -306,7 +306,7 @@ let test_atomic_write () =
 let suite =
   [
     ("clean stream is silent", `Quick, test_clean_silent);
-    QCheck_alcotest.to_alcotest prop_jitter_silent;
+    Qc.to_alcotest prop_jitter_silent;
     ("A001 slow step, hysteresis + re-arm", `Quick, test_slow_step);
     ("A002 imbalance fires once", `Quick, test_imbalance);
     ("A002 respects the population floor", `Quick, test_imbalance_needs_population);
@@ -316,7 +316,7 @@ let suite =
     ("A005 storm fires once per window", `Quick, test_storm);
     ("A006 injector stall is immediate", `Quick, test_stall_impulse);
     ("A006 lagging rank", `Quick, test_stall_lagging_rank);
-    QCheck_alcotest.to_alcotest prop_deterministic;
+    Qc.to_alcotest prop_deterministic;
     ("heartbeat json round-trip", `Quick, test_heartbeat_roundtrip);
     ("alert json round-trip", `Quick, test_alert_roundtrip);
     ("every alert code is described", `Quick, test_alert_codes_described);
