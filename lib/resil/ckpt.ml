@@ -14,10 +14,9 @@
       {!load} verifies them — a torn or bit-flipped shard invalidates
       that checkpoint and {!load} falls back to the newest older one.
 
-    This generalizes [Fempic.Checkpoint] (the single-rank binary
-    snapshot) to per-rank shards for the distributed apps; both
-    [Apps_dist.Fempic_dist] and [Apps_dist.Cabana_dist] store their
-    state through it. *)
+    It is the one checkpoint codec: the sections come from each app's
+    declared state ([Opp_dist.World]), one shard per rank for the
+    distributed drivers and a single shard for a sequential run. *)
 
 exception Corrupt of string
 

@@ -92,20 +92,17 @@ let test_of_string_roundtrip () =
     Pushers.all;
   Alcotest.(check bool) "unknown" true (Pushers.of_string "rk4" = None)
 
-(* --- CabanaPIC resume via the generic context snapshot --- *)
+(* --- CabanaPIC resume via its declared-state checkpoint --- *)
 
 let test_cabana_snapshot_resume () =
-  let path = Filename.temp_file "oppic_cabana_snap" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  Tmp_dir.with_dir "oppic_cabana_snap" (fun dir ->
       let prm = { Cabana_params.default with Cabana_params.nz = 16; ppc = 8 } in
       let a = Cabana_sim.create ~prm ~profile:(Opp_core.Profile.create ()) () in
       Cabana_sim.run a ~steps:20;
-      Opp_core.Snapshot.save a.Cabana_sim.ctx path;
+      Cabana_ckpt.save a ~dir;
       Cabana_sim.run a ~steps:15;
       let b = Cabana_sim.create ~prm ~profile:(Opp_core.Profile.create ()) () in
-      Opp_core.Snapshot.load b.Cabana_sim.ctx path;
+      Alcotest.(check (option int)) "restored step" (Some 20) (Cabana_ckpt.load b ~dir);
       Cabana_sim.run b ~steps:15;
       let ea = Cabana_sim.energies a and eb = Cabana_sim.energies b in
       Alcotest.(check (float 0.0)) "bitwise E energy after resume" ea.Cabana_sim.e_field
