@@ -47,6 +47,8 @@ let run nx ny nz ppc v0 steps backend workers ranks hybrid seed validate check b
     sort_every sort_threshold plan faults ckpt_every ckpt_dir restart heal balance
     balance_threshold balance_every trace metrics obs_summary watch watch_dir heartbeat_every
     watch_strict inject_nan =
+  Resil_cli.require_positive
+    [ ("nx", nx); ("ny", ny); ("nz", nz); ("ranks", ranks); ("workers", workers) ];
   Resil_cli.obs_setup ~trace ~metrics ~obs_summary;
   let locality = locality_config ~binned ~sort_auto ~sort_every ~sort_threshold in
   if locality <> None then Printf.printf "locality: cell-binned iteration enabled\n%!";
@@ -191,23 +193,24 @@ let run nx ny nz ppc v0 steps backend workers ranks hybrid seed validate check b
             ~meta:[ ("app", "cabana"); ("backend", backend) ]
             ~nranks:1
         in
-        let wtick = Resil_cli.seq_watch_ticker mon in
+        let watch = Option.map Apps_dist.Dist_watch.one_rank mon in
         let first = sim.Cabana.Cabana_sim.step_count + 1 in
         for s = first to steps do
           if inject_nan > 0 && s = inject_nan then
             sim.Cabana.Cabana_sim.cell_e.Opp_core.Types.d_data.(0) <- Float.nan;
-          Opp_obs.Trace.with_span ~cat:"step" "step" (fun () -> Cabana.Cabana_sim.step sim);
-          wtick ~step:s ~particles:sim.Cabana.Cabana_sim.parts.Opp_core.Types.s_size
-            ~capacity:sim.Cabana.Cabana_sim.parts.Opp_core.Types.s_capacity
-            ~nonfinite:
-              (if Option.is_none mon then 0
-               else
-                 Opp_watch.Canary.nonfinite_dats
-                   [
-                     sim.Cabana.Cabana_sim.cell_e;
-                     sim.Cabana.Cabana_sim.cell_b;
-                     sim.Cabana.Cabana_sim.cell_j;
-                   ]);
+          Apps_dist.Dist_watch.run watch (fun () ->
+              Opp_obs.Trace.with_span ~cat:"step" "step" (fun () -> Cabana.Cabana_sim.step sim));
+          Apps_dist.Dist_watch.step_done watch ~step:s
+            ~particles:(fun _ -> sim.Cabana.Cabana_sim.parts.Opp_core.Types.s_size)
+            ~capacity:(fun _ -> sim.Cabana.Cabana_sim.parts.Opp_core.Types.s_capacity)
+            ~nonfinite:(fun _ ->
+              Opp_watch.Canary.nonfinite_dats
+                [
+                  sim.Cabana.Cabana_sim.cell_e;
+                  sim.Cabana.Cabana_sim.cell_b;
+                  sim.Cabana.Cabana_sim.cell_j;
+                ])
+            ();
           if ckpt_every > 0 && s mod ckpt_every = 0 then
             Cabana.Cabana_ckpt.save sim ~dir:ckpt_dir;
           if !Opp_obs.Metrics.enabled then

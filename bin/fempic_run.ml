@@ -42,6 +42,8 @@ let run nx ny nz lx ly lz particles steps backend workers ranks hybrid partition
     prefill seed write_mesh neutral_density check binned sort_auto sort_every sort_threshold
     plan faults ckpt_every ckpt_dir restart heal balance balance_threshold balance_every trace
     metrics obs_summary watch watch_dir heartbeat_every watch_strict inject_nan =
+  Resil_cli.require_positive
+    [ ("nx", nx); ("ny", ny); ("nz", nz); ("ranks", ranks); ("workers", workers) ];
   Resil_cli.obs_setup ~trace ~metrics ~obs_summary;
   let locality = locality_config ~binned ~sort_auto ~sort_every ~sort_threshold in
   if locality <> None then Printf.printf "locality: cell-binned iteration enabled\n%!";
@@ -192,7 +194,7 @@ let run nx ny nz lx ly lz particles steps backend workers ranks hybrid partition
           ~meta:[ ("app", "fempic"); ("backend", backend) ]
           ~nranks:1
       in
-      let wtick = Resil_cli.seq_watch_ticker mon in
+      let watch = Option.map Apps_dist.Dist_watch.one_rank mon in
       let first = sim.Fempic.Fempic_sim.step_count + 1 in
       let mcc =
         if neutral_density > 0.0 then
@@ -204,20 +206,21 @@ let run nx ny nz lx ly lz particles steps backend workers ranks hybrid partition
       in
       for s = first to steps do
         if inject_nan > 0 && s = inject_nan then poison_seq sim;
-        Opp_obs.Trace.with_span ~cat:"step" "step" (fun () ->
-            ignore (Fempic.Fempic_sim.step sim);
-            match mcc with Some m -> ignore (Fempic.Collisions.apply ~runner m) | None -> ());
-        wtick ~step:s ~particles:sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_size
-          ~capacity:sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_capacity
-          ~nonfinite:
-            (if Option.is_none mon then 0
-             else
-               Opp_watch.Canary.nonfinite_dats
-                 [
-                   sim.Fempic.Fempic_sim.node_phi;
-                   sim.Fempic.Fempic_sim.node_charge_den;
-                   sim.Fempic.Fempic_sim.cell_ef;
-                 ]);
+        Apps_dist.Dist_watch.run watch (fun () ->
+            Opp_obs.Trace.with_span ~cat:"step" "step" (fun () ->
+                ignore (Fempic.Fempic_sim.step sim);
+                match mcc with Some m -> ignore (Fempic.Collisions.apply ~runner m) | None -> ()));
+        Apps_dist.Dist_watch.step_done watch ~step:s
+          ~particles:(fun _ -> sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_size)
+          ~capacity:(fun _ -> sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_capacity)
+          ~nonfinite:(fun _ ->
+            Opp_watch.Canary.nonfinite_dats
+              [
+                sim.Fempic.Fempic_sim.node_phi;
+                sim.Fempic.Fempic_sim.node_charge_den;
+                sim.Fempic.Fempic_sim.cell_ef;
+              ])
+          ();
         if ckpt_every > 0 && s mod ckpt_every = 0 then
           Opp_resil.Ckpt.save ~dir:ckpt_dir ~step:s (Opp_dist.World.one_shard ~step:s state);
         if !Opp_obs.Metrics.enabled then begin

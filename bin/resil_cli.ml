@@ -58,6 +58,18 @@ let parse_heal = function
           Printf.eprintf "error: bad --heal: %s\n%!" msg;
           exit 1)
 
+(* Counts a run cannot start from (an empty mesh, a zero-rank world, a
+   pool without workers) fail up front with a clear error line, before
+   any simulation state exists. *)
+let require_positive flags =
+  List.iter
+    (fun (flag, v) ->
+      if v < 1 then begin
+        Printf.eprintf "error: --%s must be >= 1 (got %d)\n%!" flag v;
+        exit 1
+      end)
+    flags
+
 (* --- dynamic load balancing (opp_balance) ---
 
    The same flag trio on both distributed drivers: --balance picks the
@@ -255,40 +267,6 @@ let watch_finish mon =
           (String.concat " " by_code) dir;
         if cfg.Opp_watch.Monitor.strict then exit 5
       end
-
-(* Heartbeat collection for the single-rank backends (seq / omp /
-   gpu): the sims announce step boundaries through Runner.step_end and
-   time their kernel launches into the Runner phase ledger; this
-   ticker assembles rank-0 heartbeats from the sim's particle set and
-   watched field dats. Returns a closure to call after every step. *)
-let seq_watch_ticker mon =
-  match mon with
-  | None -> fun ~step:_ ~particles:_ ~capacity:_ ~nonfinite:_ -> ()
-  | Some mon ->
-      Opp_core.Runner.phase_tracking := true;
-      let last = ref (Opp_obs.Clock.now_s ()) in
-      let last_retries = ref 0 in
-      fun ~step ~particles ~capacity ~nonfinite ->
-        if Opp_watch.Monitor.due mon ~step then begin
-          let phases = Opp_core.Runner.drain_phases () in
-          let now = Opp_obs.Clock.now_s () in
-          let step_us = (now -. !last) *. 1e6 in
-          last := now;
-          let fault_stats =
-            match Opp_resil.Fault.active () with
-            | Some inj -> Opp_resil.Fault.stats inj
-            | None -> []
-          in
-          let retries = Option.value ~default:0 (List.assoc_opt "retries" fault_stats) in
-          let dret = retries - !last_retries in
-          last_retries := retries;
-          Opp_watch.Monitor.beat mon
-            (Opp_watch.Heartbeat.make ~rank:0 ~step ~step_us ~particles
-               ~fill:
-                 (if capacity > 0 then float_of_int particles /. float_of_int capacity else 0.0)
-               ~retransmits:(float_of_int dret) ~nonfinite ~phase_us:phases ());
-          Opp_watch.Monitor.step_done ~fault_stats mon ~step
-        end
 
 (* Parse and install the schedule before any simulation state exists,
    so every message of the run is subject to it. *)

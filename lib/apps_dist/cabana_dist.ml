@@ -197,17 +197,10 @@ let exchange_field t ~site ~dat (field : Cabana.Cabana_sim.t -> Types.dat) =
         t.cell_exch ~dim:3
         ~data:(fun r -> (field t.sims.(r)).Types.d_data))
 
-(* Run one rank's share of a phase with its trace track selected and a
-   phase span opened, so each rank's par-loop spans land nested on its
-   own timeline in the exported trace. *)
+(* Run every rank's share of a phase, each on its own trace track
+   under one phase span (see [Dist_watch.on_rank]). *)
 let rank_phase t name f =
-  Array.iteri
-    (fun r sim ->
-      Opp_plan.Exec.with_rank t.plan r (fun () ->
-          Opp_obs.Trace.with_track r (fun () ->
-              Opp_obs.Trace.with_span ~cat:"phase" name (fun () ->
-                  Dist_watch.timed t.watch r name (fun () -> f r sim)))))
-    t.sims
+  Array.iteri (fun r sim -> Dist_watch.on_rank t.plan r name (fun () -> f r sim)) t.sims
 
 (* --- particle migration (mid-walk, with remaining displacement) --- *)
 
@@ -236,16 +229,12 @@ let move_deposit t =
   let migrated = ref 0 in
   let move_rank r iterate =
     let v = view t r t.sims.(r) in
-    Opp_plan.Exec.with_rank t.plan r (fun () ->
-        Opp_obs.Trace.with_track r (fun () ->
-            Opp_obs.Trace.with_span ~cat:"phase" "MovePhase" (fun () ->
-                Dist_watch.timed t.watch r "MovePhase" (fun () ->
-                    ignore
-                      (Cabana.Cabana_sim.move_deposit
-                         ~should_stop:(fun c -> c >= t.owned.(r))
-                         ~on_pending:(fun ~p ~cell ->
-                           World.pack v mail ~src:r ~owner:t.cell_rank ~p ~cell)
-                         ~iterate t.sims.(r))))))
+    Dist_watch.on_rank t.plan r "MovePhase" (fun () ->
+        ignore
+          (Cabana.Cabana_sim.move_deposit
+             ~should_stop:(fun c -> c >= t.owned.(r))
+             ~on_pending:(fun ~p ~cell -> World.pack v mail ~src:r ~owner:t.cell_rank ~p ~cell)
+             ~iterate t.sims.(r)))
   in
   for r = 0 to t.nranks - 1 do
     move_rank r Seq.Iterate_all
@@ -421,7 +410,7 @@ let state_hash t = World.state_hash (Array.mapi (view t) t.sims)
 
 (* --- the distributed step --- *)
 
-let step t =
+let do_step t =
   Opp_plan.Exec.step_begin t.plan;
   (* armed rank faults (crash / stall) fire before any state mutates,
      so a crashed step can be replayed from the last checkpoint *)
@@ -476,9 +465,13 @@ let step t =
           sim.Cabana.Cabana_sim.cell_b;
           sim.Cabana.Cabana_sim.cell_j;
         ])
-    ~traffic:t.traffic;
+    ~traffic:t.traffic ();
   Opp_plan.Exec.step_end t.plan;
   Runner.step_end ~step:t.step_count
+
+(** One distributed step. It runs with the monitor's ledger installed
+    ({!Dist_watch.run}), so its rank phases feed the heartbeats. *)
+let step t = Dist_watch.run t.watch (fun () -> do_step t)
 
 let run t ~steps =
   for _ = 1 to steps do

@@ -1,84 +1,62 @@
-(** Watch plumbing shared by the distributed drivers.
+(** Heartbeat assembly shared by every driver: the SPMD drivers
+    ({!Fempic_dist}, {!Cabana_dist}) and the single-rank backends
+    (seq / omp / GPU-sim, as one rank). One heartbeat per rank at each
+    monitored step boundary carries population, fill, stale-halo
+    fraction, the canary count over the rank's field dats, the run-wide
+    traffic/retransmit deltas (on rank 0, so sums across ranks stay
+    right) and per-phase microseconds.
 
-    Both SPMD drivers ({!Fempic_dist}, {!Cabana_dist}) feed the same
-    [Opp_watch.Monitor] the same way: per-rank phase wall times
-    accumulated inside [rank_phase] / [move_rank], and one heartbeat
-    per rank at each monitored step boundary carrying population,
-    fill, stale-halo fraction, the canary count over the rank's field
-    dats, and the run-wide traffic/retransmit deltas (reported on rank
-    0 so summing across ranks stays correct). This module is that
-    shared state: the monitor handle plus the delta baselines.
-
-    Everything is [option]-shaped: a driver without a monitor pays one
-    match per phase and per step. When a monitor is attached but a
-    step is not [due] (heartbeat decimation), phase times and traffic
-    keep accumulating so the next heartbeat covers the whole
-    interval. *)
+    Phase times are not measured here: the step runs under {!run},
+    which installs this monitor's [Opp_obs.Trace.Ledger], and the
+    ledger sums the spine's scopes per track (= rank) — [phase] spans
+    ({!on_rank}) on the distributed drivers, kernel launches and host
+    sections on one rank ({!one_rank}). Without a monitor a driver
+    pays one match per step; between decimated heartbeats times and
+    traffic keep accumulating. *)
 
 open Opp_core
 
 type t = {
   mon : Opp_watch.Monitor.t;
   nranks : int;
-  phases : (string, float array) Hashtbl.t;  (** phase -> per-rank µs *)
-  mutable order : string list;  (** first-use phase order, reversed *)
+  ledger : Opp_obs.Trace.Ledger.t;
   mutable last_mono : float;
   mutable last_bytes : float;
   mutable last_retries : int;
   mutable last_totals : float array;
-      (** per-rank total phase µs of the last drained heartbeat
-          interval — the live load signal [--balance=phases] reads
-          (the phase table itself is cleared at every heartbeat) *)
+      (** per-rank phase µs of the last heartbeat interval: the
+          [--balance=phases] load signal *)
 }
 
-let create ~nranks mon =
+let create ?(cats = [ "phase" ]) ~nranks mon =
   {
     mon;
     nranks;
-    phases = Hashtbl.create 16;
-    order = [];
+    ledger = Opp_obs.Trace.Ledger.create ~cats;
     last_mono = Opp_obs.Clock.now_s ();
     last_bytes = 0.0;
     last_retries = 0;
     last_totals = Array.make nranks 0.0;
   }
 
+(** A single-rank run's watch: its heartbeat reports every kernel
+    launch and host section (the field solve). *)
+let one_rank mon = create ~cats:[ "par_loop"; "particle_move"; "host" ] ~nranks:1 mon
+
 let monitor w = w.mon
 
-(** Accumulate [f]'s wall time under [name] for rank [r]. *)
-let timed wo r name f =
-  match wo with
-  | None -> f ()
-  | Some w ->
-      let t0 = Opp_obs.Clock.now_s () in
-      let res = f () in
-      let dt_us = (Opp_obs.Clock.now_s () -. t0) *. 1e6 in
-      let arr =
-        match Hashtbl.find_opt w.phases name with
-        | Some a -> a
-        | None ->
-            let a = Array.make w.nranks 0.0 in
-            Hashtbl.add w.phases name a;
-            w.order <- name :: w.order;
-            a
-      in
-      arr.(r) <- arr.(r) +. dt_us;
-      res
+(** Run one step with this monitor's ledger installed. *)
+let run wo f = match wo with None -> f () | Some w -> Opp_obs.Trace.with_ledger w.ledger f
 
-(* Drain rank [r]'s accumulated phase times in first-use order. *)
-let phases_of w r =
-  List.rev_map
-    (fun name ->
-      match Hashtbl.find_opt w.phases name with
-      | Some a -> (name, a.(r))
-      | None -> (name, 0.0))
-    w.order
+(** Rank [r]'s share of phase [name]: the planner's rank, the rank's
+    trace track and one [phase] span — the scope the heartbeat's
+    per-rank phase times come from. *)
+let on_rank plan r name f =
+  Opp_plan.Exec.with_rank plan r (fun () ->
+      Opp_obs.Trace.with_track r (fun () -> Opp_obs.Trace.with_span ~cat:"phase" name f))
 
-let clear_phases w = Hashtbl.iter (fun _ a -> Array.fill a 0 (Array.length a) 0.0) w.phases
-
-(** Per-rank total phase wall time (µs) over the last completed
-    heartbeat interval — a snapshot that survives the heartbeat drain,
-    so the load balancer can read it at any step boundary. *)
+(** Per-rank phase wall time (µs) over the last heartbeat interval;
+    survives the heartbeat's ledger drain. *)
 let rank_load_us w = w.last_totals
 
 (** Fraction of [dats] whose halo copies are stale at this boundary. *)
@@ -92,9 +70,10 @@ let stale_halo_frac dats =
       float_of_int dirty /. float_of_int (List.length dats)
 
 (** One monitored step boundary: assemble every rank's heartbeat and
-    run the detector bank. The per-rank closures index simulated
-    ranks; [traffic] supplies the run-wide byte counter. *)
-let step_done wo ~step ~particles ~capacity ~nonfinite ~dirty ~(traffic : Opp_dist.Traffic.t) =
+    run the detector bank. The per-rank closures index ranks;
+    [traffic] supplies the run-wide byte counter of a distributed run. *)
+let step_done wo ~step ~particles ~capacity ~nonfinite ?(dirty = fun _ -> 0.0)
+    ?(traffic : Opp_dist.Traffic.t option) () =
   match wo with
   | None -> ()
   | Some w ->
@@ -102,7 +81,7 @@ let step_done wo ~step ~particles ~capacity ~nonfinite ~dirty ~(traffic : Opp_di
         let now = Opp_obs.Clock.now_s () in
         let step_us = (now -. w.last_mono) *. 1e6 in
         w.last_mono <- now;
-        let bytes = Opp_dist.Traffic.total_bytes traffic in
+        let bytes = Option.fold ~none:0.0 ~some:Opp_dist.Traffic.total_bytes traffic in
         let dbytes = bytes -. w.last_bytes in
         w.last_bytes <- bytes;
         let fault_stats =
@@ -113,22 +92,18 @@ let step_done wo ~step ~particles ~capacity ~nonfinite ~dirty ~(traffic : Opp_di
         let retries = Option.value ~default:0 (List.assoc_opt "retries" fault_stats) in
         let dretries = retries - w.last_retries in
         w.last_retries <- retries;
-        for r = 0 to w.nranks - 1 do
-          let cap = capacity r in
-          let n = particles r in
-          Opp_watch.Monitor.beat w.mon
-            (Opp_watch.Heartbeat.make ~rank:r ~step ~step_us ~particles:n
-               ~fill:(if cap > 0 then float_of_int n /. float_of_int cap else 0.0)
-               ~dirty_frac:(dirty r)
-               ~comm_bytes:(if r = 0 then dbytes else 0.0)
-               ~retransmits:(if r = 0 then float_of_int dretries else 0.0)
-               ~nonfinite:(nonfinite r) ~phase_us:(phases_of w r) ())
-        done;
-        (let totals = Array.make w.nranks 0.0 in
-         Hashtbl.iter
-           (fun _ a -> Array.iteri (fun r v -> totals.(r) <- totals.(r) +. v) a)
-           w.phases;
-         w.last_totals <- totals);
-        clear_phases w;
+        w.last_totals <-
+          Array.init w.nranks (fun r ->
+              let cap = capacity r and n = particles r in
+              let phase_us = Opp_obs.Trace.Ledger.phases w.ledger ~track:r in
+              Opp_watch.Monitor.beat w.mon
+                (Opp_watch.Heartbeat.make ~rank:r ~step ~step_us ~particles:n
+                   ~fill:(if cap > 0 then float_of_int n /. float_of_int cap else 0.0)
+                   ~dirty_frac:(dirty r)
+                   ~comm_bytes:(if r = 0 then dbytes else 0.0)
+                   ~retransmits:(if r = 0 then float_of_int dretries else 0.0)
+                   ~nonfinite:(nonfinite r) ~phase_us ());
+              List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phase_us);
+        Opp_obs.Trace.Ledger.clear w.ledger;
         Opp_watch.Monitor.step_done ~fault_stats w.mon ~step
       end

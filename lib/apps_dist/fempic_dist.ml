@@ -167,17 +167,10 @@ let set_watch t mon = t.watch <- Some (Dist_watch.create ~nranks:t.nranks mon)
     same step. *)
 let poison t = t.g_phi.(0) <- Float.nan
 
-(* Run one rank's share of a phase with its trace track selected and a
-   phase span opened, so each rank's par-loop spans land nested on its
-   own timeline in the exported trace. *)
+(* Run every rank's share of a phase, each on its own trace track
+   under one phase span (see [Dist_watch.on_rank]). *)
 let rank_phase t name f =
-  Array.iteri
-    (fun r sim ->
-      Opp_plan.Exec.with_rank t.plan r (fun () ->
-          Opp_obs.Trace.with_track r (fun () ->
-              Opp_obs.Trace.with_span ~cat:"phase" name (fun () ->
-                  Dist_watch.timed t.watch r name (fun () -> f r sim)))))
-    t.sims
+  Array.iteri (fun r sim -> Dist_watch.on_rank t.plan r name (fun () -> f r sim)) t.sims
 
 (* --- world state (see [Opp_dist.World]) --- *)
 
@@ -270,16 +263,13 @@ let move_particles t =
     let sim = t.sims.(r) in
     let v = view t.part r sim in
     let owned = t.part.Tet_part.locals.(r).Tet_part.lm_cell_owned in
-    Opp_plan.Exec.with_rank t.plan r (fun () ->
-    Opp_obs.Trace.with_track r (fun () ->
-        Opp_obs.Trace.with_span ~cat:"phase" "MovePhase" (fun () ->
-            Dist_watch.timed t.watch r "MovePhase" (fun () ->
-                ignore
-                  (Fempic.Fempic_sim.move
-                     ~should_stop:(fun c -> c >= owned)
-                     ~on_pending:(fun ~p ~cell ->
-                       World.pack v mail ~src:r ~owner:t.part.Tet_part.cell_rank ~p ~cell)
-                     ~iterate sim)))))
+    Dist_watch.on_rank t.plan r "MovePhase" (fun () ->
+        ignore
+          (Fempic.Fempic_sim.move
+             ~should_stop:(fun c -> c >= owned)
+             ~on_pending:(fun ~p ~cell ->
+               World.pack v mail ~src:r ~owner:t.part.Tet_part.cell_rank ~p ~cell)
+             ~iterate sim))
   in
   for r = 0 to t.nranks - 1 do
     move_rank r Seq.Iterate_all
@@ -512,7 +502,7 @@ let state_hash t = World.state_hash (Array.mapi (view t.part) t.sims)
 
 (* --- the distributed step --- *)
 
-let step t =
+let do_step t =
   Opp_plan.Exec.step_begin t.plan;
   (* armed rank faults (crash / stall) fire before any state mutates,
      so a crashed step can be replayed from the last checkpoint *)
@@ -583,10 +573,14 @@ let step t =
           sim.Fempic.Fempic_sim.cell_ef;
           sim.Fempic.Fempic_sim.node_phi;
         ])
-    ~traffic:t.traffic;
+    ~traffic:t.traffic ();
   Opp_plan.Exec.step_end t.plan;
   Runner.step_end ~step:t.step_count;
   !injected
+
+(** One distributed step. It runs with the monitor's ledger installed
+    ({!Dist_watch.run}), so its rank phases feed the heartbeats. *)
+let step t = Dist_watch.run t.watch (fun () -> do_step t)
 
 let run t ~steps =
   for _ = 1 to steps do

@@ -37,25 +37,14 @@ let record ?(t = global) ~name ~elems ~seconds ~flops ~bytes () =
   e.flops <- e.flops +. flops;
   e.bytes <- e.bytes +. bytes
 
-(** Run [f], timing it into the ledger under [name] (used for host-side
-    phases such as the field solver that are not expressed as loops).
-    Timed against the monotonic clock — [Unix.gettimeofday] can step
-    backwards under NTP and corrupt the ledger. Also emits a trace
-    span (cat ["host"]) when tracing is enabled. *)
+(** Run [f] as a [host] scope of the timing spine
+    ([Opp_obs.Trace.timed]: one clock pair, a span when tracing is on)
+    and record its duration into the ledger under [name] — for
+    host-side phases such as the field solver that are not expressed
+    as loops. Recorded even when [f] raises. *)
 let timed ?(t = global) ~name ?(elems = 0) ?(flops = 0.0) ?(bytes = 0.0) f =
-  let d0 = Opp_obs.Trace.depth () in
-  Opp_obs.Trace.begin_span ~cat:"host" name;
-  let t0 = Opp_obs.Clock.now_s () in
-  match f () with
-  | result ->
-      record ~t ~name ~elems ~seconds:(Opp_obs.Clock.now_s () -. t0) ~flops ~bytes ();
-      (* unwind, not end_span: [f] may itself have leaked an open span *)
-      Opp_obs.Trace.unwind d0;
-      result
-  | exception e ->
-      record ~t ~name ~elems ~seconds:(Opp_obs.Clock.now_s () -. t0) ~flops ~bytes ();
-      Opp_obs.Trace.unwind d0;
-      raise e
+  Opp_obs.Trace.timed ~cat:"host" name f ~on_close:(fun ns ->
+      record ~t ~name ~elems ~seconds:(Int64.to_float ns *. 1e-9) ~flops ~bytes ())
 
 (** Add modelled (as opposed to measured) seconds to a kernel entry. *)
 let add_seconds ?(t = global) ~name s =

@@ -25,10 +25,10 @@ val record :
 (** Accumulate one execution of kernel [name]. *)
 
 val timed : ?t:t -> name:string -> ?elems:int -> ?flops:float -> ?bytes:float -> (unit -> 'a) -> 'a
-(** Run a thunk, timing it into the ledger (host-side phases such as
-    the field solver that are not expressed as loops). Uses the
-    monotonic clock and emits an [Opp_obs.Trace] span (cat ["host"])
-    when tracing is enabled. *)
+(** Run a thunk as a [host] scope of the timing spine
+    ([Opp_obs.Trace.timed]) and record its duration into the ledger
+    (host-side phases such as the field solver that are not expressed
+    as loops). *)
 
 val add_seconds : ?t:t -> name:string -> float -> unit
 (** Add modelled (as opposed to measured) seconds to an entry. *)

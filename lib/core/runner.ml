@@ -30,7 +30,8 @@ type t = {
 (* Observability wiring lives at this dispatch point so every backend
    (sequential, Domains, simulated SIMT, the simulated-MPI rank loops)
    gets spans and move metrics without per-backend code. When tracing
-   and metrics are disabled the cost is one branch per loop launch. *)
+   is off and no ledger is installed the cost is one branch per loop
+   launch. *)
 
 (* --- step boundaries (opp_watch) ---
 
@@ -84,58 +85,29 @@ let notify_launch ~name set iterate args =
 let notify_move ~name ~args =
   match !move_hooks with [] -> () | hooks -> List.iter (fun f -> f ~name ~args) hooks
 
-let phase_tracking = ref false
-
-let phase_order : string list ref = ref [] (* reversed registration order *)
-let phase_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 32
-
-let phase_add name us =
-  match Hashtbl.find_opt phase_tbl name with
-  | Some r -> r := !r +. us
-  | None ->
-      Hashtbl.add phase_tbl name (ref us);
-      phase_order := name :: !phase_order
-
-let drain_phases () =
-  let out = List.rev_map (fun n -> (n, !(Hashtbl.find phase_tbl n))) !phase_order in
-  Hashtbl.reset phase_tbl;
-  phase_order := [];
-  out
-
-let dispatch_par_loop r ~name ~flops_per_elem kernel set iterate args =
-  if !Opp_obs.Trace.enabled then begin
-    (* Attach the loop's cost-model inputs to the span so downstream
-       analysis (oppic_prof) can place every kernel on the roofline
-       from the trace artifact alone. The element count is read before
-       the launch: an injected-window loop may shrink the window. *)
-    let lo, hi = Seq.iter_range set iterate in
-    let n = hi - lo in
-    let d0 = Opp_obs.Trace.depth () in
-    Opp_obs.Trace.begin_span ~cat:"par_loop" name;
-    match r.r_par_loop name flops_per_elem kernel set iterate args with
-    | () ->
-        Opp_obs.Trace.end_span
-          ~args:
-            [
-              ("elems", float_of_int n);
-              ("flops", flops_per_elem *. float_of_int n);
-              ("bytes", Seq.loop_bytes args n);
-            ]
-          ()
-    | exception e ->
-        Opp_obs.Trace.unwind d0;
-        raise e
-  end
-  else r.r_par_loop name flops_per_elem kernel set iterate args
+(* Every launch is one [Opp_obs.Trace] scope, the only timer of the
+   dispatch point (the backends' own Profile records aside: the GPU
+   model's is modelled time). When tracing is on, the span carries the
+   loop's cost-model inputs so downstream analysis (oppic_prof) can
+   place every kernel on the roofline from the trace artifact alone. *)
+let cost_args ~flops_per_elem args n =
+  [
+    ("elems", float_of_int n);
+    ("flops", flops_per_elem *. float_of_int n);
+    ("bytes", Seq.loop_bytes args n);
+  ]
 
 let par_loop r ~name ?(flops_per_elem = 0.0) kernel set iterate args =
   notify_launch ~name set iterate args;
-  if !phase_tracking then begin
-    let t0 = Opp_obs.Clock.now_s () in
-    dispatch_par_loop r ~name ~flops_per_elem kernel set iterate args;
-    phase_add name ((Opp_obs.Clock.now_s () -. t0) *. 1e6)
-  end
-  else dispatch_par_loop r ~name ~flops_per_elem kernel set iterate args
+  (* counted before the launch: an injected-window loop may shrink it *)
+  let span_args =
+    if !Opp_obs.Trace.enabled then
+      let lo, hi = Seq.iter_range set iterate in
+      cost_args ~flops_per_elem args (hi - lo)
+    else []
+  in
+  Opp_obs.Trace.with_span ~cat:"par_loop" ~args:span_args name (fun () ->
+      r.r_par_loop name flops_per_elem kernel set iterate args)
 
 (** Execute a legally-fusable group of loops as one loop body (the
     runtime counterpart of the fused bodies {!Opp_codegen.Emit} emits).
@@ -143,15 +115,12 @@ let par_loop r ~name ?(flops_per_elem = 0.0) kernel set iterate args =
     backend — fusion is a plan-level optimization whose bit-identity is
     proved against back-to-back execution, and the reference engine is
     where that proof lives. Observers see one launch per member, so
-    recorded step programs are unchanged by fusion. *)
+    recorded step programs are unchanged by fusion; the launch itself
+    is one [par_loop] span under the group's name. *)
 let par_loop_fused _r ~name group set iterate =
   List.iter (fun (gname, _, _, args) -> notify_launch ~name:gname set iterate args) group;
-  if !phase_tracking then begin
-    let t0 = Opp_obs.Clock.now_s () in
-    Seq.par_loop_fused ~name group set iterate;
-    phase_add name ((Opp_obs.Clock.now_s () -. t0) *. 1e6)
-  end
-  else Seq.par_loop_fused ~name group set iterate
+  Opp_obs.Trace.with_span ~cat:"par_loop" name (fun () ->
+      Seq.par_loop_fused ~name group set iterate)
 
 (** Span + metrics wrapper for a particle-move launch. Exposed so
     call sites that must route around the runner (the distributed
@@ -162,26 +131,8 @@ let par_loop_fused _r ~name group set iterate =
 let traced_move ~name ?(flops_per_elem = 0.0) ?(args = []) run =
   notify_move ~name ~args;
   let result =
-    if !Opp_obs.Trace.enabled then begin
-      let d0 = Opp_obs.Trace.depth () in
-      Opp_obs.Trace.begin_span ~cat:"particle_move" name;
-      match run () with
-      | result ->
-          let hops = result.Seq.mv_total_hops in
-          Opp_obs.Trace.end_span
-            ~args:
-              [
-                ("elems", float_of_int hops);
-                ("flops", flops_per_elem *. float_of_int hops);
-                ("bytes", Seq.loop_bytes args hops);
-              ]
-            ();
-          result
-      | exception e ->
-          Opp_obs.Trace.unwind d0;
-          raise e
-    end
-    else run ()
+    Opp_obs.Trace.with_span ~cat:"particle_move" name run ~close:(fun result ->
+        cost_args ~flops_per_elem args result.Seq.mv_total_hops)
   in
   if !Opp_obs.Metrics.enabled then begin
     Opp_obs.Metrics.add "move.total_hops" (float_of_int result.Seq.mv_total_hops);
@@ -192,18 +143,8 @@ let traced_move ~name ?(flops_per_elem = 0.0) ?(args = []) run =
   result
 
 let particle_move r ~name ?(flops_per_elem = 0.0) ?dh kernel set ~p2c args =
-  if !phase_tracking then begin
-    let t0 = Opp_obs.Clock.now_s () in
-    let result =
-      traced_move ~name ~flops_per_elem ~args (fun () ->
-          r.r_particle_move name flops_per_elem dh kernel set p2c args)
-    in
-    phase_add name ((Opp_obs.Clock.now_s () -. t0) *. 1e6);
-    result
-  end
-  else
-    traced_move ~name ~flops_per_elem ~args (fun () ->
-        r.r_particle_move name flops_per_elem dh kernel set p2c args)
+  traced_move ~name ~flops_per_elem ~args (fun () ->
+      r.r_particle_move name flops_per_elem dh kernel set p2c args)
 
 (** The sequential reference runner, recording into [profile]. *)
 let seq ?(profile = Profile.global) () =

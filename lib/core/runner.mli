@@ -108,17 +108,3 @@ val on_step_end : (step:int -> unit) -> unit
 
 val clear_step_hooks : unit -> unit
 val step_end : step:int -> unit
-
-(** {2 Per-step phase ledger}
-
-    With {!phase_tracking} on, every {!par_loop} / {!particle_move}
-    launch accumulates its wall time (µs) under its kernel name, and
-    {!drain_phases} returns-and-clears the ledger — how a heartbeat
-    carries per-phase microseconds without tracing enabled. One clock
-    pair per launch when on; one branch when off. *)
-
-val phase_tracking : bool ref
-
-val drain_phases : unit -> (string * float) list
-(** Accumulated (kernel, µs) pairs in first-launch order; clears the
-    ledger. *)

@@ -1,21 +1,18 @@
-(** Trace-span recorder.
+(** Trace-span recorder and the timing spine.
 
-    Records nested begin/end spans against a monotonic clock, one
-    track per (simulated) MPI rank, and exports Chrome trace-event
-    JSON (loadable in [chrome://tracing] or {{:https://ui.perfetto.dev}
-    Perfetto}) plus a flamegraph-style text summary.
+    Every named scope (a loop launch, a rank phase, a halo exchange, a
+    host section such as the field solve) is timed once, by
+    {!with_span}. That one duration feeds the trace (one track per
+    simulated MPI rank, exported as Chrome trace-event JSON for
+    [chrome://tracing] or Perfetto, plus a text summary), the installed
+    phase {!Ledger} (heartbeats), and [Opp_core.Profile] via {!timed}.
 
-    Disabled by default: every record operation first checks
-    {!enabled}, so an instrumented hot path pays a single branch when
-    tracing is off. The recorder is a process-wide singleton (like
-    [Opp_core.Profile.global]); the simulated-MPI backends multiplex
-    rank tracks onto it with {!set_track} / {!with_track} because
-    ranks execute serially in one process. It is not safe to record
-    spans concurrently from several domains — backends emit spans from
-    the orchestrating thread only. *)
+    A process-wide singleton, off by default. Ranks run serially in one
+    process and multiplex their tracks with {!with_track}; spans are
+    emitted from the orchestrating thread only. *)
 
 val enabled : bool ref
-(** The hot-path gate. Flip with {!enable} / {!disable}. *)
+(** Whether spans are recorded. Flip with {!enable} / {!disable}. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -25,45 +22,66 @@ val reset : unit -> unit
 
 (** {2 Tracks} *)
 
-val set_track : int -> unit
-(** Route subsequent spans to track (tid) [r]. *)
-
-val current_track : unit -> int
-
 val with_track : int -> (unit -> 'a) -> 'a
-(** Run a thunk with the track switched, restoring it afterwards. *)
+(** Run a thunk with spans routed to track (tid) [r]. A top-level span
+    on [r] takes the span open on the track switched from as its
+    parent, so rank phases nest under the driver's [step] in
+    {!summary}. *)
 
 val name_track : int -> string -> unit
 (** Label a track in the exported trace (defaults to ["rank <r>"]). *)
 
+(** {2 The phase ledger}
+
+    Per-phase time without a trace (heartbeats): while a ledger is
+    installed ({!with_ledger}, scoped like {!with_track}), every scope
+    of an accepted category adds its duration under (track, category,
+    name). *)
+
+module Ledger : sig
+  type t
+
+  val create : cats:string list -> t
+  (** Takes scopes of categories [cats] only (e.g. [["phase"]]). *)
+
+  val phases : t -> track:int -> (string * float) list
+  (** [(name, µs)] recorded on [track], in first-use order. *)
+
+  val clear : t -> unit
+  (** Zero every total; names and order stay. *)
+end
+
+val with_ledger : Ledger.t -> (unit -> 'a) -> 'a
+(** Run a thunk with [l] installed. *)
+
 (** {2 Spans} *)
 
-val begin_span : ?cat:string -> ?args:(string * float) list -> string -> unit
-(** Open a span on the current track. No-op when disabled. [cat] is
-    the Chrome trace category (e.g. ["par_loop"], ["halo"]); [args]
-    are numeric key/values exported as the Chrome event's [args]
-    object (e.g. elems/flops/bytes attached by [Runner]). *)
+val with_span :
+  ?cat:string ->
+  ?args:(string * float) list ->
+  ?close:('a -> (string * float) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** Time a thunk as one named scope: one clock read at open, one at
+    close. Recorded as a span when tracing is on, added to the
+    installed ledger when it takes [cat]; with neither, one branch plus
+    the thunk. [cat] is the Chrome category (["par_loop"], ["halo"],
+    ...); [args], and [close] of the result, are the event's numeric
+    [args]. Exception-safe: spans the thunk leaked open close too,
+    stamped ["unwound"]. *)
 
-val end_span : ?args:(string * float) list -> unit -> unit
-(** Close the innermost open span on the current track, appending
-    [args] to whatever was supplied at open. No-op when disabled or
-    when no span is open. *)
+val timed : ?cat:string -> string -> (unit -> 'a) -> on_close:(int64 -> unit) -> 'a
+(** {!with_span}, always timed: [on_close] gets the duration in ns,
+    also when the thunk raises (for [Opp_core.Profile]). *)
+
+val begin_span : ?cat:string -> ?args:(string * float) list -> string -> unit
+(** Open a trace-only span (no ledger, no close of its own): the
+    enclosing {!with_span} closes it, stamped ["unwound"]. For tests of
+    that recovery; instrument with {!with_span}. *)
 
 val depth : unit -> int
 (** Number of open spans on the current track (0 when disabled). *)
-
-val unwind : int -> unit
-(** [unwind d] closes every open span on the current track until at
-    most [d] remain, stamping each with an ["unwound"] arg and its
-    duration so far. This is the exception-recovery primitive: capture
-    [depth ()] before a region that uses the imperative
-    {!begin_span}/{!end_span} pair, and [unwind] to it on raise so a
-    leaked open span cannot corrupt nesting for the rest of the run. *)
-
-val with_span : ?cat:string -> ?args:(string * float) list -> string -> (unit -> 'a) -> 'a
-(** [begin_span]/[end_span] around a thunk. Exception-safe even when
-    the thunk itself leaks unbalanced [begin_span]s: the close is a
-    depth-based {!unwind}, not a blind pop. *)
 
 (** {2 Introspection (tests, summaries)} *)
 
@@ -92,6 +110,16 @@ val to_chrome_json : unit -> Json.t
 
 val write_chrome : string -> unit
 (** Write {!to_chrome_json} to a file. *)
+
+type row = {
+  r_path : string;  (** [;]-joined call path *)
+  r_calls : int;
+  r_total_ns : int64;
+  r_self_ns : int64;  (** total minus the time of direct children *)
+}
+
+val rows : unit -> row list
+(** Completed spans aggregated by call path, sorted by path. *)
 
 val summary : Format.formatter -> unit -> unit
 (** Flamegraph-style text table: spans aggregated by call path with

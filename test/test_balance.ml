@@ -394,6 +394,43 @@ let test_balance_metrics () =
       Alcotest.(check (float 0.0)) "before/after ratios" 2.4 (v "balance.imbalance_before");
       Alcotest.(check (float 0.0)) "after ratio" 1.1 (v "balance.imbalance_after"))
 
+(* --- the --balance=phases load signal --- *)
+
+(* Dist_balance falls back to particle counts when the phase signal is
+   absent, so test the signal itself: positive on every rank after one
+   heartbeat, and a watched driver stepped in turn with an unwatched
+   one is charged no more phase time than its own step took. *)
+let test_phase_load_signal () =
+  Tmp_dir.with_dir "opp_balance_load" (fun dir ->
+      let watched = fempic_app () and plain = fempic_app () in
+      let mon =
+        Opp_watch.Monitor.create
+          ~config:{ Opp_watch.Monitor.default_config with Opp_watch.Monitor.dir }
+          ~nranks:3 ()
+      in
+      Apps_dist.Fempic_dist.set_watch watched mon;
+      let w = Option.get watched.Apps_dist.Fempic_dist.watch in
+      for s = 1 to 4 do
+        ignore (Apps_dist.Fempic_dist.step plain);
+        let t0 = Opp_obs.Clock.now_ns () in
+        ignore (Apps_dist.Fempic_dist.step watched);
+        let wall_us = Int64.to_float (Int64.sub (Opp_obs.Clock.now_ns ()) t0) /. 1e3 in
+        ignore (Apps_dist.Fempic_dist.step plain);
+        let load = Apps_dist.Dist_watch.rank_load_us w in
+        Array.iteri
+          (fun r us ->
+            Alcotest.(check bool) (Printf.sprintf "step %d: rank %d load is positive" s r) true
+              (us > 0.0))
+          load;
+        Alcotest.(check bool)
+          (Printf.sprintf "step %d: phase total fits in the watched step's wall time" s)
+          true
+          (Array.fold_left ( +. ) 0.0 load <= wall_us)
+      done;
+      Opp_watch.Monitor.close mon;
+      Apps_dist.Fempic_dist.shutdown watched;
+      Apps_dist.Fempic_dist.shutdown plain)
+
 let suite =
   [
     Alcotest.test_case "partition: imbalance edge cases (empty, 1 rank, nranks>ncells)" `Quick
@@ -425,5 +462,7 @@ let suite =
     Qc.to_alcotest prop_fempic_rebalance_conserves;
     Alcotest.test_case "balancer: decision glue fires once and raises A009" `Quick
       test_dist_balance_fires_and_alerts;
+    Alcotest.test_case "balancer: the phase load signal is per-driver and positive" `Quick
+      test_phase_load_signal;
     Alcotest.test_case "balance metrics: epoch accounting" `Quick test_balance_metrics;
   ]

@@ -64,6 +64,27 @@ let test_rank_count_mismatch () =
       Alcotest.(check bool) "says why" true (contains text "rank count mismatch");
       Alcotest.(check bool) "no uncaught exception" false (contains text "Fatal error"))
 
+(* Counts a run cannot start from fail up front with an error line
+   naming the flag, never an uncaught Invalid_argument. *)
+let test_bad_counts () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (flag, args) ->
+          let code, text = run name (args @ [ "--steps"; "1" ]) in
+          let what = Printf.sprintf "%s %s" name (String.concat " " args) in
+          Alcotest.(check bool) (what ^ ": nonzero exit") true (code <> 0);
+          Alcotest.(check bool) (what ^ ": names the flag") true
+            (contains text ("error: --" ^ flag));
+          Alcotest.(check bool) (what ^ ": no uncaught exception") false
+            (contains text "Fatal error"))
+        [
+          ("ranks", [ "--ranks"; "0"; "--backend"; "mpi" ]);
+          ("nx", [ "--nx"; "0" ]);
+          ("workers", [ "--workers"; "0"; "--backend"; "omp" ]);
+        ])
+    [ "fempic_run"; "cabana_run" ]
+
 let suite =
   [
     Alcotest.test_case "--help renders on every executable" `Quick test_help;
@@ -71,4 +92,5 @@ let suite =
       test_legacy_fempic_checkpoint;
     Alcotest.test_case "fempic_run rejects another rank count's checkpoint" `Quick
       test_rank_count_mismatch;
+    Alcotest.test_case "zero ranks, cells or workers are refused" `Quick test_bad_counts;
   ]

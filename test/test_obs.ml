@@ -89,6 +89,86 @@ let test_trace_nesting_and_export () =
   Alcotest.(check bool) "thunk ran" true !hit;
   Alcotest.(check int) "nothing recorded" 2 (Trace.span_count ())
 
+(* --- the timing spine: ledgers, timed scopes, cross-track parents --- *)
+
+let test_ledger_scoped () =
+  let names l track = List.map fst (Trace.Ledger.phases l ~track) in
+  let a = Trace.Ledger.create ~cats:[ "phase" ] and b = Trace.Ledger.create ~cats:[ "phase" ] in
+  Trace.with_ledger a (fun () ->
+      Trace.with_track 1 (fun () ->
+          Trace.with_span ~cat:"phase" "P" (fun () ->
+              Trace.with_span ~cat:"par_loop" "K" (fun () -> ()))));
+  Trace.with_ledger b (fun () -> Trace.with_span ~cat:"phase" "Q" (fun () -> ()));
+  Trace.with_span ~cat:"phase" "unledgered" (fun () -> ());
+  Alcotest.(check (list string)) "a holds its phase on track 1" [ "P" ] (names a 1);
+  Alcotest.(check (list string)) "a holds nothing on track 0" [] (names a 0);
+  Alcotest.(check (list string)) "b holds only its own scope" [ "Q" ] (names b 0);
+  Alcotest.(check int) "tracing off: nothing recorded" 0 (Trace.span_count ());
+  Trace.Ledger.clear a;
+  Alcotest.(check (list (pair string (float 0.0)))) "clear zeroes totals" [ ("P", 0.0) ]
+    (Trace.Ledger.phases a ~track:1);
+  let got = ref (-1L) in
+  Alcotest.(check int) "timed returns the thunk's value" 7
+    (Trace.timed "t" (fun () -> 7) ~on_close:(fun ns -> got := ns));
+  Alcotest.(check bool) "timed measures with tracing off" true (Int64.compare !got 0L >= 0)
+
+let test_cross_track_parent () =
+  Trace.enable ();
+  Trace.with_track 9 (fun () ->
+      Trace.with_span ~cat:"step" "step" (fun () ->
+          Trace.with_track 0 (fun () ->
+              Trace.with_span ~cat:"phase" "P" (fun () ->
+                  Trace.with_span ~cat:"par_loop" "K" (fun () -> ())))));
+  Trace.with_track 0 (fun () -> Trace.with_span "after" (fun () -> ()));
+  let path n = (List.find (fun sp -> sp.Trace.sp_name = n) (Trace.spans ())).Trace.sp_path in
+  Alcotest.(check string) "phase nests under the driver's step" "step;P" (path "P");
+  Alcotest.(check string) "kernel under the phase" "step;P;K" (path "K");
+  Alcotest.(check string) "no parent once step closed" "after" (path "after");
+  Alcotest.(check int) "phase stays on its own track" 0
+    (List.find (fun sp -> sp.Trace.sp_name = "P") (Trace.spans ())).Trace.sp_track
+
+(* A traced 2-rank run stepped the way the drivers do: each step one
+   [step] span on a driver track past the last rank. *)
+let traced_dist_run ~nranks ~steps =
+  let mesh = Opp_mesh.Tet_mesh.build ~nx:2 ~ny:2 ~nz:4 ~lx:2e-5 ~ly:2e-5 ~lz:4e-5 in
+  let prm = { Fempic.Params.default with Fempic.Params.target_particles = 2000.0 } in
+  let dist = Apps_dist.Fempic_dist.create ~prm ~nranks ~profile:(Opp_core.Profile.create ()) mesh in
+  Trace.enable ();
+  for _ = 1 to steps do
+    Trace.with_track nranks (fun () ->
+        Trace.with_span ~cat:"step" "step" (fun () -> ignore (Apps_dist.Fempic_dist.step dist)))
+  done
+
+let test_phases_nest_under_step () =
+  traced_dist_run ~nranks:2 ~steps:3;
+  let phases = List.filter (fun sp -> sp.Trace.sp_cat = "phase") (Trace.spans ()) in
+  Alcotest.(check bool) "phase spans recorded" true (List.length phases >= 2 * 6 * 3);
+  List.iter
+    (fun sp ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (rank %d) under step" sp.Trace.sp_path sp.Trace.sp_track)
+        true
+        (String.starts_with ~prefix:"step;" sp.Trace.sp_path))
+    phases
+
+let test_summary_self_times_add_up () =
+  traced_dist_run ~nranks:2 ~steps:3;
+  let rows = Trace.rows () in
+  let ns = Int64.to_float in
+  let step_total =
+    ns (List.find (fun r -> r.Trace.r_path = "step") rows).Trace.r_total_ns
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (r.Trace.r_path ^ " self time >= 0") true
+        (Int64.compare r.Trace.r_self_ns 0L >= 0))
+    rows;
+  let self_sum = List.fold_left (fun acc r -> acc +. ns r.Trace.r_self_ns) 0.0 rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "self times sum to the step total (%.0f vs %.0f ns)" self_sum step_total)
+    true
+    (Float.abs (self_sum -. step_total) <= 0.01 *. step_total)
+
 (* --- chrome trace golden round-trip over a distributed run --- *)
 
 let chrome_events path =
@@ -339,6 +419,10 @@ let suite =
     ("json parse basics", `Quick, isolated test_json_parse_basics);
     ("monotonic clock", `Quick, isolated test_clock_monotone);
     ("trace nesting & gating", `Quick, isolated test_trace_nesting_and_export);
+    ("trace ledgers are scoped", `Quick, isolated test_ledger_scoped);
+    ("trace parent survives a track switch", `Quick, isolated test_cross_track_parent);
+    ("rank phases nest under step", `Quick, isolated test_phases_nest_under_step);
+    ("summary self times add up to step", `Quick, isolated test_summary_self_times_add_up);
     ("chrome trace golden (4-rank fempic)", `Quick, isolated test_chrome_trace_golden);
     ("metrics jsonl/csv roundtrip", `Quick, isolated test_metrics_roundtrip);
     ("metrics tick semantics", `Quick, isolated test_metrics_tick_semantics);

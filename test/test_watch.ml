@@ -303,6 +303,80 @@ let test_atomic_write () =
       Alcotest.(check bool) "no temp file left behind" false
         (Sys.file_exists (path ^ ".tmp")))
 
+(* --- heartbeat content from real runs: phase_us comes from the
+   spans of the timing spine (Opp_obs.Trace), via the monitor's ledger --- *)
+
+(* (rank, phase names, phase µs total) of every heartbeat line. *)
+let heartbeat_phases dir =
+  List.map
+    (fun line ->
+      match Result.bind (Opp_obs.Json.of_string line) Heartbeat.of_json with
+      | Error e -> Alcotest.fail e
+      | Ok b ->
+          ( b.Heartbeat.hb_rank,
+            List.map fst b.Heartbeat.hb_phase_us,
+            List.fold_left (fun acc (_, us) -> acc +. us) 0.0 b.Heartbeat.hb_phase_us ))
+    (read_lines (Filename.concat dir "heartbeats.jsonl"))
+
+let check_phases ~expected beats =
+  List.iter
+    (fun (r, names, total) ->
+      List.iter
+        (fun p ->
+          Alcotest.(check bool) (Printf.sprintf "rank %d reports %s" r p) true (List.mem p names))
+        expected;
+      Alcotest.(check bool) (Printf.sprintf "rank %d phase time is positive" r) true (total > 0.0))
+    beats
+
+let small_duct () = Opp_mesh.Tet_mesh.build ~nx:2 ~ny:2 ~nz:4 ~lx:2e-5 ~ly:2e-5 ~lz:4e-5
+let small_prm = { Fempic.Params.default with Fempic.Params.target_particles = 2000.0 }
+
+let test_dist_heartbeat_phases () =
+  with_monitor ~nranks:2 (fun dir mon ->
+      let app =
+        Apps_dist.Fempic_dist.create ~prm:small_prm ~nranks:2
+          ~profile:(Opp_core.Profile.create ()) (small_duct ())
+      in
+      Apps_dist.Fempic_dist.set_watch app mon;
+      Apps_dist.Fempic_dist.run app ~steps:3;
+      Monitor.close mon;
+      let beats = heartbeat_phases dir in
+      Alcotest.(check int) "one heartbeat per rank per step" 6 (List.length beats);
+      check_phases beats
+        ~expected:[ "Inject"; "CalcPosVel"; "MovePhase"; "Deposit"; "ChargeDensity"; "ElectricField" ])
+
+(* A single-rank run steps the way fempic_run's seq backend does: under
+   a one-rank Dist_watch taking launch and host scopes. *)
+let test_seq_heartbeat_phases () =
+  with_monitor ~nranks:1 (fun dir mon ->
+      let sim =
+        Fempic.Fempic_sim.create ~prm:small_prm ~profile:(Opp_core.Profile.create ())
+          (small_duct ())
+      in
+      let watch = Some (Apps_dist.Dist_watch.one_rank mon) in
+      let parts = sim.Fempic.Fempic_sim.parts in
+      for s = 1 to 3 do
+        Apps_dist.Dist_watch.run watch (fun () -> ignore (Fempic.Fempic_sim.step sim));
+        Apps_dist.Dist_watch.step_done watch ~step:s
+          ~particles:(fun _ -> parts.Opp_core.Types.s_size)
+          ~capacity:(fun _ -> parts.Opp_core.Types.s_capacity)
+          ~nonfinite:(fun _ -> 0) ()
+      done;
+      Monitor.close mon;
+      let beats = heartbeat_phases dir in
+      Alcotest.(check int) "one heartbeat per step" 3 (List.length beats);
+      check_phases beats
+        ~expected:
+          [
+            "Inject";
+            "CalcPosVel";
+            "Move";
+            "DepositCharge";
+            "ComputeNodeChargeDensity";
+            "ComputeElectricField";
+            "Solve";
+          ])
+
 let suite =
   [
     ("clean stream is silent", `Quick, test_clean_silent);
@@ -323,4 +397,6 @@ let suite =
     ("monitor writes parseable artifacts", `Quick, test_monitor_files);
     ("monitor routes alerts and policy actions", `Quick, test_monitor_routes_alerts);
     ("atomic file replace", `Quick, test_atomic_write);
+    ("2-rank heartbeats carry the rank phases", `Quick, test_dist_heartbeat_phases);
+    ("seq heartbeats carry the launches and Solve", `Quick, test_seq_heartbeat_phases);
   ]
