@@ -48,7 +48,9 @@ let run nx ny nz ppc v0 steps backend workers ranks hybrid seed validate check b
     balance_threshold balance_every trace metrics obs_summary watch watch_dir heartbeat_every
     watch_strict inject_nan =
   Resil_cli.require_positive
-    [ ("nx", nx); ("ny", ny); ("nz", nz); ("ranks", ranks); ("workers", workers) ];
+    [ ("nx", nx); ("ny", ny); ("nz", nz); ("ppc", ppc); ("ranks", ranks); ("workers", workers) ];
+  Resil_cli.require_nonnegative [ ("steps", steps) ];
+  Resil_cli.require_finite [ ("v0", v0) ];
   Resil_cli.obs_setup ~trace ~metrics ~obs_summary;
   let locality = locality_config ~binned ~sort_auto ~sort_every ~sort_threshold in
   if locality <> None then Printf.printf "locality: cell-binned iteration enabled\n%!";
@@ -84,7 +86,13 @@ let run nx ny nz ppc v0 steps backend workers ranks hybrid seed validate check b
       if s mod report_every = 0 then Printf.printf "step %4d: E=%.6e |dsl-ref|=%.3e\n%!" s a (Float.abs (a -. b))
     done;
     Printf.printf "max |E energy difference| over %d steps: %.3e\n%!" steps !max_diff;
-    Resil_cli.obs_finish ~trace ~metrics ~obs_summary
+    Resil_cli.obs_finish ~trace ~metrics ~obs_summary;
+    (* the DSL port must reproduce the original bit for bit *)
+    if !max_diff <> 0.0 then begin
+      Printf.eprintf "validate: the DSL run differs from the structured original (max |dE| = %.3e)\n%!"
+        !max_diff;
+      exit 3
+    end
   end
   else
     match backend with
@@ -248,7 +256,12 @@ let cmd =
   in
   let seed = Arg.(value & opt int 99 & info [ "seed" ] ~doc:"RNG seed") in
   let validate =
-    Arg.(value & flag & info [ "validate" ] ~doc:"compare against the structured-mesh original")
+    Arg.(
+      value & flag
+      & info [ "validate" ]
+          ~doc:
+            "compare against the structured-mesh original; exit 3 if the E-field energies \
+             differ at any step")
   in
   let check =
     Arg.(

@@ -44,6 +44,8 @@ let run nx ny nz lx ly lz particles steps backend workers ranks hybrid partition
     metrics obs_summary watch watch_dir heartbeat_every watch_strict inject_nan =
   Resil_cli.require_positive
     [ ("nx", nx); ("ny", ny); ("nz", nz); ("ranks", ranks); ("workers", workers) ];
+  Resil_cli.require_nonnegative [ ("particles", particles); ("steps", steps) ];
+  Resil_cli.require_length [ ("lx", lx); ("ly", ly); ("lz", lz) ];
   Resil_cli.obs_setup ~trace ~metrics ~obs_summary;
   let locality = locality_config ~binned ~sort_auto ~sort_every ~sort_threshold in
   if locality <> None then Printf.printf "locality: cell-binned iteration enabled\n%!";

@@ -58,16 +58,34 @@ let parse_heal = function
           Printf.eprintf "error: bad --heal: %s\n%!" msg;
           exit 1)
 
-(* Counts a run cannot start from (an empty mesh, a zero-rank world, a
-   pool without workers) fail up front with a clear error line, before
+(* Inputs a run cannot start from (an empty mesh, a zero-rank world, a
+   pool without workers, a duct of no or negative length, a NaN speed)
+   fail up front with an [error: --<flag> ...] line and exit 1, before
    any simulation state exists. *)
+let flag_error flag fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: --%s %s\n%!" flag msg;
+      exit 1)
+    fmt
+
 let require_positive flags =
+  List.iter (fun (flag, v) -> if v < 1 then flag_error flag "must be >= 1 (got %d)" v) flags
+
+let require_nonnegative flags =
+  List.iter (fun (flag, v) -> if v < 0 then flag_error flag "must be >= 0 (got %d)" v) flags
+
+(* Physical lengths: finite and strictly positive. *)
+let require_length flags =
   List.iter
     (fun (flag, v) ->
-      if v < 1 then begin
-        Printf.eprintf "error: --%s must be >= 1 (got %d)\n%!" flag v;
-        exit 1
-      end)
+      if not (Float.is_finite v && v > 0.0) then
+        flag_error flag "must be a finite length > 0 (got %g)" v)
+    flags
+
+let require_finite flags =
+  List.iter
+    (fun (flag, v) -> if not (Float.is_finite v) then flag_error flag "must be finite (got %g)" v)
     flags
 
 (* --- dynamic load balancing (opp_balance) ---

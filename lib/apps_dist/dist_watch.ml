@@ -3,8 +3,8 @@
     (seq / omp / GPU-sim, as one rank). One heartbeat per rank at each
     monitored step boundary carries population, fill, stale-halo
     fraction, the canary count over the rank's field dats, the run-wide
-    traffic/retransmit deltas (on rank 0, so sums across ranks stay
-    right) and per-phase microseconds.
+    traffic/retransmit/allocation deltas (on rank 0, so sums across
+    ranks stay right) and per-phase microseconds.
 
     Phase times are not measured here: the step runs under {!run},
     which installs this monitor's [Opp_obs.Trace.Ledger], and the
@@ -23,6 +23,7 @@ type t = {
   mutable last_mono : float;
   mutable last_bytes : float;
   mutable last_retries : int;
+  mutable last_minor : float;
   mutable last_totals : float array;
       (** per-rank phase µs of the last heartbeat interval: the
           [--balance=phases] load signal *)
@@ -36,6 +37,7 @@ let create ?(cats = [ "phase" ]) ~nranks mon =
     last_mono = Opp_obs.Clock.now_s ();
     last_bytes = 0.0;
     last_retries = 0;
+    last_minor = Gc.minor_words ();
     last_totals = Array.make nranks 0.0;
   }
 
@@ -92,6 +94,12 @@ let step_done wo ~step ~particles ~capacity ~nonfinite ?(dirty = fun _ -> 0.0)
         let retries = Option.value ~default:0 (List.assoc_opt "retries" fault_stats) in
         let dretries = retries - w.last_retries in
         w.last_retries <- retries;
+        (* the stepping domain's words, exact at any point ([Gc.quick_stat]
+           only moves at minor collections); thread-backend workers
+           allocate on their own domains and are not counted *)
+        let minor = Gc.minor_words () in
+        let dminor = minor -. w.last_minor in
+        w.last_minor <- minor;
         w.last_totals <-
           Array.init w.nranks (fun r ->
               let cap = capacity r and n = particles r in
@@ -102,6 +110,7 @@ let step_done wo ~step ~particles ~capacity ~nonfinite ?(dirty = fun _ -> 0.0)
                    ~dirty_frac:(dirty r)
                    ~comm_bytes:(if r = 0 then dbytes else 0.0)
                    ~retransmits:(if r = 0 then float_of_int dretries else 0.0)
+                   ~minor_words:(if r = 0 then dminor else 0.0)
                    ~nonfinite:(nonfinite r) ~phase_us ());
               List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phase_us);
         Opp_obs.Trace.Ledger.clear w.ledger;

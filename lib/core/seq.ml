@@ -177,21 +177,24 @@ let par_loop_fused ?(profile = Profile.global) ~name group set iterate =
   let bytes = List.fold_left (fun acc (_, _, _, args) -> acc +. loop_bytes args n) 0.0 group in
   Profile.record ~t:profile ~name ~elems:n ~seconds:(now () -. t0)
     ~flops:(flops *. float_of_int n) ~bytes ()
-let set_move_views args views p cell =
-  Array.iteri
-    (fun k (a : Arg.t) ->
-      match a with
-      | Arg.Arg_gbl _ -> ()
-      | Arg.Arg_dat d ->
-          let base =
-            match (d.p2c, d.map) with
-            | None, None -> p * d.dat.d_dim
-            | Some _, None -> cell * d.dat.d_dim
-            | Some _, Some m -> m.m_data.((cell * m.m_arity) + d.idx) * d.dat.d_dim
-            | None, Some _ -> invalid_arg "move arg: mesh map without p2c"
-          in
-          views.(k).View.base <- base)
-    args
+
+(* Bind the views of a move kernel to particle [p] at [cell]. Called
+   on every hop, so a plain loop: an [Array.iteri] closure here would
+   be allocated once per hop. *)
+let set_move_views (args : Arg.t array) views p cell =
+  for k = 0 to Array.length args - 1 do
+    match args.(k) with
+    | Arg.Arg_gbl _ -> ()
+    | Arg.Arg_dat d ->
+        let base =
+          match (d.p2c, d.map) with
+          | None, None -> p * d.dat.d_dim
+          | Some _, None -> cell * d.dat.d_dim
+          | Some _, Some m -> m.m_data.((cell * m.m_arity) + d.idx) * d.dat.d_dim
+          | None, Some _ -> invalid_arg "move arg: mesh map without p2c"
+        in
+        views.(k).View.base <- base
+  done
 
 exception Move_diverged of string
 

@@ -3,7 +3,17 @@
     Backends re-point [data]/[base] per iteration element, so user
     kernels are written once against this interface and reused by
     every parallelization — the paper's separation of the science
-    source from its parallel implementation. *)
+    source from its parallel implementation. Component [i] of the
+    current element is [v.data.(v.base + i)]; for an INC argument a
+    backend may point [data] at a per-worker copy or a scratch buffer
+    that it reduces after the loop.
+
+    Hot kernels should index [v.data.(v.base + i)] directly rather
+    than call {!get}/{!set}/{!inc}: dune's dev profile compiles with
+    [-opaque], so those calls are never inlined, and each returns or
+    takes a boxed float. The record fields and the array access compile
+    inline (see the Mini-FEM-PIC kernels). The functions below serve
+    tests, examples and cold code. *)
 
 type t = {
   mutable data : float array;  (** backing storage (backends may redirect it) *)
@@ -25,7 +35,9 @@ val set : t -> int -> float -> unit
 
 val inc : t -> int -> float -> unit
 (** [inc v i x] adds [x] to component [i]. The only legal update on an
-    INC argument: backends intercept it for race-free accumulation. *)
+    INC argument (directly: [data.(base + i) <- data.(base + i) +. x]):
+    backends make accumulation race-free by pointing [data] at
+    per-worker copies, not by intercepting the call. *)
 
 val to_array : t -> float array
 (** Copy of the [dim] values under the view. *)

@@ -57,60 +57,65 @@ type t = {
 }
 
 (* --- kernels (pure functions of their views, written once and reused
-   by every backend) --- *)
+   by every backend) ---
 
-let calc_pos_vel_kernel ~qm ~dt views =
+   Each kernel reads and writes its storage as [v.data.(v.base + i)]
+   rather than through [View.get]/[View.set]/[View.inc]: dune's dev
+   profile compiles with [-opaque], so a call into another module is
+   never inlined and every [View.get] returns a boxed float. The record
+   fields and the array access compile inline, which keeps these
+   per-particle kernels allocation-free. Backends still re-point
+   [data]/[base], so the kernels stay backend-agnostic. *)
+
+let calc_pos_vel_kernel ~qm ~dt (views : View.t array) =
   let ef = views.(0) and vel = views.(1) and pos = views.(2) in
   for d = 0 to 2 do
-    View.inc vel d (qm *. dt *. View.get ef d)
+    let i = vel.base + d in
+    vel.data.(i) <- vel.data.(i) +. (qm *. dt *. ef.data.(ef.base + d))
   done;
   for d = 0 to 2 do
-    View.inc pos d (dt *. View.get vel d)
+    let i = pos.base + d in
+    pos.data.(i) <- pos.data.(i) +. (dt *. vel.data.(vel.base + d))
   done
 
 (* Leapfrog alignment for freshly injected particles: pull the velocity
    back half a step. *)
-let inject_kernel ~qm ~dt views =
+let inject_kernel ~qm ~dt (views : View.t array) =
   let ef = views.(0) and vel = views.(1) in
   for d = 0 to 2 do
-    View.inc vel d (-0.5 *. qm *. dt *. View.get ef d)
+    let i = vel.base + d in
+    vel.data.(i) <- vel.data.(i) +. (-0.5 *. qm *. dt *. ef.data.(ef.base + d))
   done
 
 (* Barycentric walk: locate the particle; exit through the face of the
-   most negative weight when outside (paper's multi-hop tracking). *)
-let move_kernel ~c2c_data views (mc : Seq.move_ctx) =
+   most negative weight when outside (paper's multi-hop tracking). The
+   first face of least weight wins a tie. *)
+let move_kernel ~c2c_data (views : View.t array) (mc : Seq.move_ctx) =
   let pos = views.(0) and lc = views.(1) and det = views.(2) in
-  let x = View.get pos 0 and y = View.get pos 1 and z = View.get pos 2 in
-  let bary i =
-    View.get det (i * 4)
-    +. (View.get det ((i * 4) + 1) *. x)
-    +. (View.get det ((i * 4) + 2) *. y)
-    +. (View.get det ((i * 4) + 3) *. z)
-  in
-  let l0 = bary 0 and l1 = bary 1 and l2 = bary 2 and l3 = bary 3 in
+  let p = pos.data and pb = pos.base and c = det.data and cb = det.base in
+  let x = p.(pb) and y = p.(pb + 1) and z = p.(pb + 2) in
+  let l0 = c.(cb) +. (c.(cb + 1) *. x) +. (c.(cb + 2) *. y) +. (c.(cb + 3) *. z) in
+  let l1 = c.(cb + 4) +. (c.(cb + 5) *. x) +. (c.(cb + 6) *. y) +. (c.(cb + 7) *. z) in
+  let l2 = c.(cb + 8) +. (c.(cb + 9) *. x) +. (c.(cb + 10) *. y) +. (c.(cb + 11) *. z) in
+  let l3 = c.(cb + 12) +. (c.(cb + 13) *. x) +. (c.(cb + 14) *. y) +. (c.(cb + 15) *. z) in
   let eps = -1e-12 in
   if l0 >= eps && l1 >= eps && l2 >= eps && l3 >= eps then begin
-    View.set lc 0 l0;
-    View.set lc 1 l1;
-    View.set lc 2 l2;
-    View.set lc 3 l3;
+    let w = lc.data and wb = lc.base in
+    w.(wb) <- l0;
+    w.(wb + 1) <- l1;
+    w.(wb + 2) <- l2;
+    w.(wb + 3) <- l3;
     mc.Seq.status <- Seq.Move_done
   end
   else begin
-    let jmin = ref 0 and lmin = ref l0 in
-    if l1 < !lmin then begin
-      jmin := 1;
-      lmin := l1
-    end;
-    if l2 < !lmin then begin
-      jmin := 2;
-      lmin := l2
-    end;
-    if l3 < !lmin then begin
-      jmin := 3;
-      lmin := l3
-    end;
-    let next = c2c_data.((4 * mc.Seq.cell) + !jmin) in
+    let jmin =
+      if l1 < l0 then
+        if l2 < l1 then if l3 < l2 then 3 else 2 else if l3 < l1 then 3 else 1
+      else if l2 < l0 then if l3 < l2 then 3 else 2
+      else if l3 < l0 then 3
+      else 0
+    in
+    let next = c2c_data.((4 * mc.Seq.cell) + jmin) in
     if next < 0 then mc.Seq.status <- Seq.Need_remove
     else begin
       mc.Seq.cell <- next;
@@ -118,26 +123,32 @@ let move_kernel ~c2c_data views (mc : Seq.move_ctx) =
     end
   end
 
-let deposit_kernel ~charge views =
+let deposit_kernel ~charge (views : View.t array) =
   let lc = views.(0) in
   for i = 0 to 3 do
-    View.inc views.(i + 1) 0 (charge *. View.get lc i)
+    let q = views.(i + 1) in
+    q.data.(q.base) <- q.data.(q.base) +. (charge *. lc.data.(lc.base + i))
   done
 
-let charge_density_kernel views =
+let charge_density_kernel (views : View.t array) =
   let q = views.(0) and vol = views.(1) and den = views.(2) in
-  View.set den 0 (View.get q 0 /. View.get vol 0)
+  den.data.(den.base) <- q.data.(q.base) /. vol.data.(vol.base)
 
-let reset_kernel views = View.fill views.(0) 0.0
+let reset_kernel (views : View.t array) =
+  let v = views.(0) in
+  for i = v.base to v.base + v.dim - 1 do
+    v.data.(i) <- 0.0
+  done
 
-let electric_field_kernel views =
+let electric_field_kernel (views : View.t array) =
   let ef = views.(0) and det = views.(1) in
   for d = 0 to 2 do
     let s = ref 0.0 in
     for i = 0 to 3 do
-      s := !s +. (View.get views.(i + 2) 0 *. View.get det ((i * 4) + 1 + d))
+      let phi = views.(i + 2) in
+      s := !s +. (phi.data.(phi.base) *. det.data.(det.base + (i * 4) + 1 + d))
     done;
-    View.set ef d (-. !s)
+    ef.data.(ef.base + d) <- -. !s
   done
 
 (* --- construction --- *)

@@ -394,12 +394,11 @@ let par_loop_colored t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
           let clo, chi = Pool.chunk ~n:m ~parts:nworkers w in
           for i = clo to chi - 1 do
             let e = elems.(i) in
-            Array.iteri
-              (fun k a ->
-                match a with
-                | Arg.Arg_gbl _ -> ()
-                | Arg.Arg_dat _ -> views.(k).View.base <- Arg.offset a e)
-              args_a;
+            for k = 0 to Array.length args_a - 1 do
+              match args_a.(k) with
+              | Arg.Arg_gbl _ -> ()
+              | Arg.Arg_dat _ as a -> views.(k).View.base <- Arg.offset a e
+            done;
             kernel views
           done))
     buckets;

@@ -5,6 +5,7 @@
     (particle count, fill ratio of the allocated storage), locality
     health (dirty fraction of the pooled scatter buffers), traffic
     (communication bytes and retransmissions since the previous
+    heartbeat), allocation (minor-heap words since the previous
     heartbeat), the non-finite canary count over the watched field
     dats, and the per-phase microsecond breakdown. Heartbeats are
     appended to [heartbeats.jsonl] (one JSON object per line) and the
@@ -29,12 +30,13 @@ type t = {
   hb_dirty_frac : float;  (** pooled-scatter dirty fraction, 0 if n/a *)
   hb_comm_bytes : float;  (** communication bytes since last heartbeat *)
   hb_retransmits : float;  (** healed retransmissions since last heartbeat *)
+  hb_minor_words : float;  (** minor-heap words allocated since last heartbeat *)
   hb_nonfinite : int;  (** non-finite values found by the field canary *)
   hb_phase_us : (string * float) list;  (** per-phase µs, launch order *)
 }
 
 let make ~rank ~step ~step_us ~particles ~fill ?(dirty_frac = 0.0) ?(comm_bytes = 0.0)
-    ?(retransmits = 0.0) ?(nonfinite = 0) ?(phase_us = []) () =
+    ?(retransmits = 0.0) ?(minor_words = 0.0) ?(nonfinite = 0) ?(phase_us = []) () =
   {
     hb_rank = rank;
     hb_step = step;
@@ -48,6 +50,7 @@ let make ~rank ~step ~step_us ~particles ~fill ?(dirty_frac = 0.0) ?(comm_bytes 
     hb_dirty_frac = dirty_frac;
     hb_comm_bytes = comm_bytes;
     hb_retransmits = retransmits;
+    hb_minor_words = minor_words;
     hb_nonfinite = nonfinite;
     hb_phase_us = List.map (fun (n, us) -> (n, Float.round us)) phase_us;
   }
@@ -67,6 +70,7 @@ let to_json hb =
       ("dirty_frac", J.Num hb.hb_dirty_frac);
       ("comm_bytes", J.Num hb.hb_comm_bytes);
       ("retransmits", J.Num hb.hb_retransmits);
+      ("minor_words", J.Num hb.hb_minor_words);
       ("nonfinite", J.Num (float_of_int hb.hb_nonfinite));
       ("phase_us", J.Obj (List.map (fun (n, us) -> (n, J.Num us)) hb.hb_phase_us));
     ]
@@ -89,6 +93,8 @@ let of_json j =
   let* comm_bytes = num "comm_bytes" in
   let* retransmits = num "retransmits" in
   let* nonfinite = num "nonfinite" in
+  (* absent from heartbeats written before the field existed *)
+  let minor_words = Option.value ~default:0.0 (Option.bind (J.member "minor_words" j) J.num) in
   let phase_us =
     match J.member "phase_us" j with
     | Some (J.Obj fields) ->
@@ -107,6 +113,7 @@ let of_json j =
       hb_dirty_frac = dirty_frac;
       hb_comm_bytes = comm_bytes;
       hb_retransmits = retransmits;
+      hb_minor_words = minor_words;
       hb_nonfinite = int_of_float nonfinite;
       hb_phase_us = phase_us;
     }

@@ -85,6 +85,42 @@ let test_bad_counts () =
         ])
     [ "fempic_run"; "cabana_run" ]
 
+(* Physical input a run cannot use (a duct of zero, negative or
+   non-finite length, a negative particle target or step count, fewer
+   than one particle per cell, a NaN stream speed) is refused with an
+   error line naming the flag and exit 1. Before, these died of an
+   uncaught exception or ran silently. *)
+let test_bad_physical_input () =
+  List.iter
+    (fun (name, flag, arg) ->
+      let args = if flag = "steps" then [ arg ] else [ arg; "--steps"; "1" ] in
+      let code, text = run name args in
+      let what = Printf.sprintf "%s %s" name arg in
+      Alcotest.(check int) (what ^ ": exit 1") 1 code;
+      Alcotest.(check bool) (what ^ ": names the flag") true (contains text ("error: --" ^ flag));
+      Alcotest.(check bool) (what ^ ": no uncaught exception") false
+        (contains text "Fatal error"))
+    [
+      ("fempic_run", "lx", "--lx=0");
+      ("fempic_run", "lx", "--lx=-1e-5");
+      ("fempic_run", "ly", "--ly=inf");
+      ("fempic_run", "lz", "--lz=nan");
+      ("fempic_run", "particles", "--particles=-1");
+      ("fempic_run", "steps", "--steps=-1");
+      ("cabana_run", "ppc", "--ppc=-2");
+      ("cabana_run", "ppc", "--ppc=0");
+      ("cabana_run", "v0", "--v0=nan");
+      ("cabana_run", "steps", "--steps=-1");
+    ]
+
+(* --validate exits 3 on any DSL-versus-original difference; the port
+   matches bit for bit, so a short run exits 0 with a zero maximum. *)
+let test_cabana_validate () =
+  let code, text = run "cabana_run" [ "--validate"; "--steps"; "5" ] in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check bool) "zero difference" true
+    (contains text "max |E energy difference| over 5 steps: 0.000e+00")
+
 let suite =
   [
     Alcotest.test_case "--help renders on every executable" `Quick test_help;
@@ -93,4 +129,6 @@ let suite =
     Alcotest.test_case "fempic_run rejects another rank count's checkpoint" `Quick
       test_rank_count_mismatch;
     Alcotest.test_case "zero ranks, cells or workers are refused" `Quick test_bad_counts;
+    Alcotest.test_case "bad physical input is refused" `Quick test_bad_physical_input;
+    Alcotest.test_case "cabana_run --validate matches the original" `Quick test_cabana_validate;
   ]
